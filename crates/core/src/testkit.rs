@@ -7,10 +7,10 @@
 //! protocol API.
 
 use dup_overlay::{NodeId, SearchTree};
-use dup_proto::scheme::{AppliedChurn, Ctx, Ev, FaultState, FifoClocks, Msg, Scheme, World};
+use dup_proto::scheme::{AppliedChurn, Ctx, Ev, FaultState, FifoClocks, Scheme, World};
 use dup_proto::{
-    AuthorityClock, CacheStore, IndexRecord, InterestTracker, Metrics, ProbeSink, ReliableState,
-    TraceCtx,
+    AuthorityClock, CacheStore, IndexRecord, InterestTracker, Metrics, PathPool, ProbeSink,
+    ReliableState, Step, TraceCtx,
 };
 use dup_sim::{Engine, SenderStreams, SimDuration, SimTime};
 use dup_workload::HopLatency;
@@ -23,6 +23,7 @@ pub struct TestBench<S: Scheme> {
     pub engine: Engine<Ev<S::Msg>>,
     /// The scheme under test.
     pub scheme: S,
+    pool: PathPool,
 }
 
 impl<S: Scheme> TestBench<S> {
@@ -57,6 +58,7 @@ impl<S: Scheme> TestBench<S> {
             world,
             engine: Engine::new(),
             scheme,
+            pool: PathPool::default(),
         }
     }
 
@@ -110,53 +112,26 @@ impl<S: Scheme> TestBench<S> {
 
     /// Delivers every in-flight message (and any cascades) to quiescence.
     pub fn drain(&mut self) {
-        let world = &mut self.world;
-        let scheme = &mut self.scheme;
-        self.engine.run(|eng, ev| match ev {
-            Ev::Deliver {
-                from,
-                to,
-                class,
-                cause,
-                msg: Msg::Scheme(m),
-            } => {
-                world.trace.note_delivered();
-                if world.tree.is_alive(to) {
-                    world.trace.enter(cause);
-                    let now = eng.now();
-                    world
-                        .probe
-                        .emit(now, || dup_proto::ProbeEvent::MsgDelivered {
-                            from,
-                            to,
-                            class,
-                            span: cause.span,
-                        });
-                    let mut ctx = Ctx { world, engine: eng };
-                    scheme.on_scheme_msg(&mut ctx, from, to, m);
+        let TestBench {
+            world,
+            engine,
+            scheme,
+            pool,
+        } = self;
+        engine.run(|eng, ev| {
+            let mut step = Step {
+                world: &mut *world,
+                scheme: &mut *scheme,
+                pool: &mut *pool,
+                eng,
+            };
+            match ev {
+                Ev::Refresh => {
+                    let record = step.world.authority.refresh(step.eng.now());
+                    step.publish(record);
                 }
+                ev => step.handle(ev),
             }
-            Ev::Refresh => {
-                let record = world.authority.refresh(eng.now());
-                if world.probe.enabled() {
-                    // Mirrors the runner: under trace sampling, unsampled
-                    // versions publish no root span and no event.
-                    let span = world.trace.begin_update(record.version.0);
-                    if span.is_traced() {
-                        let origin = world.tree.root();
-                        let version = record.version.0;
-                        world
-                            .probe
-                            .emit(eng.now(), || dup_proto::ProbeEvent::UpdatePublished {
-                                node: origin,
-                                version,
-                            });
-                    }
-                }
-                let mut ctx = Ctx { world, engine: eng };
-                scheme.on_refresh(&mut ctx, record);
-            }
-            other => panic!("testkit bench saw unexpected event {other:?}"),
         });
     }
 

@@ -5,8 +5,8 @@
 use dup_overlay::{NodeId, SearchTree};
 use dup_proto::scheme::{Ctx, Ev, FaultState, FifoClocks, Msg, Scheme, World};
 use dup_proto::{
-    AuthorityClock, CacheStore, IndexRecord, InterestTracker, Metrics, MsgClass, ProbeEvent,
-    ProbeSink, Registry, ReliableState, TraceCtx,
+    AuthorityClock, CacheStore, IndexRecord, InterestTracker, Metrics, MsgClass, PathPool,
+    ProbeSink, Registry, ReliableState, Step, TraceCtx,
 };
 use dup_sim::{Engine, SenderStreams, SimDuration, SimTime};
 use dup_workload::HopLatency;
@@ -24,6 +24,7 @@ pub struct TopicHost<S: Scheme> {
     engine: Engine<Ev<S::Msg>>,
     /// The dissemination scheme.
     pub scheme: S,
+    pool: PathPool,
 }
 
 impl<S: Scheme> TopicHost<S> {
@@ -51,6 +52,7 @@ impl<S: Scheme> TopicHost<S> {
             world,
             engine: Engine::new(),
             scheme,
+            pool: PathPool::default(),
         }
     }
 
@@ -118,54 +120,39 @@ impl<S: Scheme> TopicHost<S> {
         &mut self,
         mut inspect: impl FnMut(NodeId, &Msg<S::Msg>, SimTime),
     ) -> IndexRecord {
-        let now = self.engine.now();
-        let record = self.world.authority.publish(now);
+        let record = self.world.authority.publish(self.engine.now());
         let root = self.world.tree.root();
         self.world.cache.install(root, record);
-        if self.world.probe.enabled() {
-            self.world.trace.begin_update(record.version.0);
-            let version = record.version.0;
-            self.world.probe.emit(now, || ProbeEvent::UpdatePublished {
-                node: root,
-                version,
-            });
+        Step {
+            world: &mut self.world,
+            scheme: &mut self.scheme,
+            pool: &mut self.pool,
+            eng: &mut self.engine,
         }
-        self.with_ctx(|s, ctx| s.on_refresh(ctx, record));
+        .publish(record);
         self.drain(&mut inspect);
         record
     }
 
     /// Delivers every in-flight message, reporting arrivals to `inspect`.
     pub fn drain(&mut self, mut inspect: impl FnMut(NodeId, &Msg<S::Msg>, SimTime)) {
-        let world = &mut self.world;
-        let scheme = &mut self.scheme;
-        self.engine.run(|eng, ev| match ev {
-            Ev::Deliver {
-                from,
-                to,
-                class,
-                cause,
-                msg,
-            } => {
-                world.trace.note_delivered();
-                if !world.tree.is_alive(to) {
-                    return;
-                }
-                world.trace.enter(cause);
-                let now = eng.now();
-                world.probe.emit(now, || ProbeEvent::MsgDelivered {
-                    from,
-                    to,
-                    class,
-                    span: cause.span,
-                });
-                inspect(to, &msg, eng.now());
-                if let Msg::Scheme(m) = msg {
-                    let mut ctx = Ctx { world, engine: eng };
-                    scheme.on_scheme_msg(&mut ctx, from, to, m);
-                }
+        let TopicHost {
+            world,
+            engine,
+            scheme,
+            pool,
+        } = self;
+        engine.run(|eng, ev| {
+            if let Ev::Deliver { to, msg, .. } = &ev {
+                inspect(*to, msg, eng.now());
             }
-            other => panic!("topic host saw unexpected event {other:?}"),
+            Step {
+                world: &mut *world,
+                scheme: &mut *scheme,
+                pool: &mut *pool,
+                eng,
+            }
+            .handle(ev);
         });
     }
 

@@ -1,13 +1,14 @@
 //! The per-process protocol host.
 //!
 //! [`NodeHost`] runs one node's share of a scheme — the *same*
-//! `dup_proto` scheme/reliability/lease code the simulator runs — behind
-//! the `Clock`/`Transport` trait pair. The discrete-event [`Engine`] is
-//! reused as the node's local timer queue: the host sets the engine's
-//! horizon to the current (wall or virtual) time and drains due events, so
-//! retry chains, lease ticks, and query drivers execute exactly as in-sim,
-//! while [`Transport::deliver`] routes remote-addressed messages into an
-//! outbox that a [`FrameNet`] flushes onto real connections.
+//! `dup_proto` protocol [`Step`] the simulator runs, with its query path,
+//! reliability layer and lease machinery — behind the `Clock`/`Transport`
+//! trait pair. The discrete-event [`Engine`] is reused as the node's local
+//! timer queue: the host sets the engine's horizon to the current (wall or
+//! virtual) time and drains due events, so retry chains, lease ticks, and
+//! query drivers execute exactly as in-sim, while [`Transport::deliver`]
+//! routes remote-addressed messages into an outbox that a [`FrameNet`]
+//! flushes onto real connections.
 //!
 //! The host is deliberately I/O-free: it is fed timestamps and frames and
 //! emits frames, so the whole failure/recovery state machine runs
@@ -33,9 +34,9 @@
 use dup_overlay::{NodeId, SearchTree};
 use dup_proto::scheme::Scheme;
 use dup_proto::{
-    resend_msg, send_msg, AuthorityClock, CacheStore, Clock, Ctx, Ev, EvSink, FaultState,
-    FifoClocks, InterestTracker, Metrics, Msg, MsgClass, ProbeSink, ReliabilityConfig,
-    ReliableState, RetryAction, Transport, World,
+    AuthorityClock, CacheStore, Clock, Ctx, Ev, EvSink, FaultState, FifoClocks, InterestTracker,
+    Metrics, Msg, MsgClass, PathPool, ProbeSink, ReliabilityConfig, ReliableState, Step, Transport,
+    World,
 };
 use dup_sim::{Engine, SenderStreams, SimDuration, SimTime};
 use dup_workload::HopLatency;
@@ -219,6 +220,7 @@ struct HostCore<S: LiveScheme> {
     cfg: LiveConfig,
     world: World,
     scheme: S,
+    pool: PathPool,
     detector: FailureDetector,
     /// Highest incarnation admitted per peer (tree repair is keyed on
     /// increases, so duplicate Hellos are idempotent).
@@ -280,6 +282,7 @@ impl<S: LiveScheme> NodeHost<S> {
                 cfg,
                 world,
                 scheme,
+                pool: PathPool::default(),
                 detector,
                 admitted: vec![1; n],
                 outbox: Vec::new(),
@@ -393,7 +396,7 @@ impl<S: LiveScheme> NodeHost<S> {
                 to,
                 class,
                 msg,
-            } => {
+            } if to == self.core.me => {
                 let at = now.max(self.engine.now());
                 self.engine.schedule(
                     at,
@@ -406,7 +409,12 @@ impl<S: LiveScheme> NodeHost<S> {
                     },
                 );
             }
-            Frame::SnapshotReq { .. } | Frame::Snapshot(_) | Frame::Shutdown => {}
+            // Misaddressed deliveries are dropped, like frames to a departed
+            // node.
+            Frame::Deliver { .. }
+            | Frame::SnapshotReq { .. }
+            | Frame::Snapshot(_)
+            | Frame::Shutdown => {}
         }
         self.advance(now, net);
     }
@@ -537,15 +545,18 @@ impl<S: LiveScheme> NodeHost<S> {
     }
 
     /// Applies the deterministic rejoin repair for `peer` announcing
-    /// `incarnation`: splice out its previous life if still present, then
-    /// revive it as a leaf of the root. Every host applies the same rule,
-    /// so all tree views converge on the same shape.
+    /// `incarnation`: forget the previous life's dedup window (the new
+    /// life's tracked sequence numbers restart at 0), splice out its
+    /// previous life if still present, then revive it as a leaf of the
+    /// root. Every host applies the same rule, so all tree views converge
+    /// on the same shape.
     fn admit_incarnation(&mut self, peer: NodeId, incarnation: u64) {
         let i = peer.index();
         if incarnation <= self.core.admitted[i] {
             return;
         }
         self.core.admitted[i] = incarnation;
+        self.core.world.reliable.forget_sender(peer);
         let tree = &mut self.core.world.tree;
         if tree.is_alive(peer) && peer != tree.root() {
             tree.remove_splice(peer);
@@ -584,337 +595,57 @@ impl<S: LiveScheme> HostCore<S> {
         tree.remove_splice(peer);
     }
 
-    /// Mirrors `Runner::handle` for the event classes a live host sees.
+    /// Runs one timer-queue event: this host's own drivers (query
+    /// cadence, refresh schedule, lease ticks, the clock sentinel) here,
+    /// every protocol event through the shared [`Step`].
     fn dispatch(&mut self, engine: &mut Engine<Ev<S::Msg>>, ev: Ev<S::Msg>) {
+        let HostCore {
+            me,
+            cfg,
+            world,
+            scheme,
+            pool,
+            outbox,
+            joined,
+            queries_issued,
+            ..
+        } = self;
         let mut sink = HostSink {
-            me: self.me,
+            me: *me,
             engine,
-            outbox: &mut self.outbox,
+            outbox,
         };
-        let eng: &mut dyn EvSink<S::Msg> = &mut sink;
+        let mut step = Step {
+            world,
+            scheme,
+            pool,
+            eng: &mut sink,
+        };
         match ev {
             Ev::NextQuery => {
-                if self.joined && self.world.tree.is_alive(self.me) {
-                    Self::begin_query(
-                        &mut self.world,
-                        &mut self.scheme,
-                        eng,
-                        self.me,
-                        &mut self.queries_issued,
-                    );
+                if *joined && step.world.tree.is_alive(*me) {
+                    *queries_issued += 1;
+                    step.begin_query(*me);
                 }
-                eng.schedule_after(self.cfg.query_every, Ev::NextQuery);
-            }
-            Ev::Deliver { from, to, msg, .. } => {
-                self.world.trace.note_delivered();
-                if to != self.me || !self.world.tree.is_alive(to) {
-                    return;
-                }
-                match msg {
-                    Msg::Request {
-                        origin,
-                        visited,
-                        issued_at,
-                        riders,
-                    } => Self::on_request(
-                        &mut self.world,
-                        &mut self.scheme,
-                        eng,
-                        from,
-                        to,
-                        origin,
-                        visited,
-                        issued_at,
-                        riders,
-                    ),
-                    Msg::Reply {
-                        record,
-                        remaining,
-                        issued_at,
-                    } => Self::on_reply(&mut self.world, eng, to, record, remaining, issued_at),
-                    Msg::Scheme(m) => {
-                        let mut ctx = Ctx {
-                            world: &mut self.world,
-                            engine: eng,
-                        };
-                        self.scheme.on_scheme_msg(&mut ctx, from, to, m);
-                    }
-                    Msg::Tracked { seq, inner } => {
-                        // Ack every physical arrival, then dedup through the
-                        // sliding-window anti-replay state.
-                        send_msg(
-                            &mut self.world,
-                            eng,
-                            to,
-                            from,
-                            MsgClass::Control,
-                            Msg::Ack { seq },
-                        );
-                        if self.world.reliable.on_tracked_delivery(from, seq) {
-                            let mut ctx = Ctx {
-                                world: &mut self.world,
-                                engine: eng,
-                            };
-                            self.scheme.on_scheme_msg(&mut ctx, from, to, inner);
-                        }
-                    }
-                    Msg::Ack { seq } => {
-                        if let Some(timer) = self.world.reliable.on_ack(seq) {
-                            eng.cancel(timer);
-                        }
-                    }
-                }
+                step.eng.schedule_after(cfg.query_every, Ev::NextQuery);
             }
             Ev::Refresh => {
-                let record = self.world.authority.refresh(eng.now());
-                {
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_refresh(&mut ctx, record);
-                }
-                eng.schedule(self.world.authority.next_refresh_at(), Ev::Refresh);
-            }
-            Ev::InterestCheck { node } => {
-                if !self.world.tree.is_alive(node) {
-                    return;
-                }
-                let outcome = self.world.interest.run_check(node, eng.now());
-                if let Some(at) = outcome.reschedule_at {
-                    eng.schedule(at, Ev::InterestCheck { node });
-                }
-                if outcome.lapsed {
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_interest_lost(&mut ctx, node);
-                }
-            }
-            Ev::Retry {
-                from,
-                to,
-                class,
-                seq,
-                attempt,
-                cause,
-                msg,
-            } => {
-                if !self.world.tree.is_alive(from) {
-                    self.world.reliable.forget(seq);
-                    return;
-                }
-                match self.world.reliable.on_retry_fire(seq, attempt) {
-                    RetryAction::Settled => {}
-                    action => {
-                        if let RetryAction::ResendAndRearm(delay) = action {
-                            let timer = eng.schedule_after(
-                                SimDuration::from_secs_f64(delay),
-                                Ev::Retry {
-                                    from,
-                                    to,
-                                    class,
-                                    seq,
-                                    attempt: attempt + 1,
-                                    cause,
-                                    msg: msg.clone(),
-                                },
-                            );
-                            self.world.reliable.retimer(seq, timer);
-                        }
-                        resend_msg(
-                            &mut self.world,
-                            eng,
-                            from,
-                            to,
-                            class,
-                            cause,
-                            Msg::Tracked { seq, inner: msg },
-                        );
-                    }
-                }
+                step.refresh();
+                let at = step.world.authority.next_refresh_at();
+                step.eng.schedule(at, Ev::Refresh);
             }
             Ev::LeaseTick => {
-                {
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_lease_tick(&mut ctx);
-                }
-                eng.schedule_after(self.cfg.lease_every, Ev::LeaseTick);
+                step.lease_tick();
+                step.eng.schedule_after(cfg.lease_every, Ev::LeaseTick);
             }
-            // The far-future clock sentinel (and events a live host does
-            // not use): keep the sentinel armed, ignore the rest.
+            // The far-future clock sentinel: keep it armed.
             Ev::EndWarmup => {
-                eng.schedule_after(SimDuration::from_secs_f64(1e9), Ev::EndWarmup);
+                step.eng
+                    .schedule_after(SimDuration::from_secs_f64(1e9), Ev::EndWarmup);
             }
+            // Simulation-only drivers a live host never schedules.
             Ev::Churn | Ev::CiCheck | Ev::Sample => {}
-        }
-    }
-
-    /// Interest bookkeeping + scheme hook for a query observed at `node`
-    /// (mirrors `Runner::observe_query`).
-    fn observe_query(
-        world: &mut World,
-        scheme: &mut S,
-        eng: &mut dyn EvSink<S::Msg>,
-        node: NodeId,
-        prev: Option<NodeId>,
-        riders: &mut Vec<NodeId>,
-        forwarding: bool,
-    ) {
-        let obs = world.interest.observe(node, eng.now());
-        if let Some(at) = obs.schedule_check_at {
-            eng.schedule(at, Ev::InterestCheck { node });
-        }
-        let mut ctx = Ctx { world, engine: eng };
-        scheme.on_query_step(&mut ctx, node, prev, riders, forwarding);
-    }
-
-    /// A locally generated query (mirrors `Runner::begin_query`).
-    fn begin_query(
-        world: &mut World,
-        scheme: &mut S,
-        eng: &mut dyn EvSink<S::Msg>,
-        node: NodeId,
-        queries_issued: &mut u64,
-    ) {
-        *queries_issued += 1;
-        let now = eng.now();
-        let served = world.serving_record(node, now);
-        let mut riders = Vec::new();
-        Self::observe_query(
-            world,
-            scheme,
-            eng,
-            node,
-            None,
-            &mut riders,
-            served.is_none(),
-        );
-        if let Some(record) = served {
-            let stale = record.is_stale_versus(world.authority.current().version);
-            world.metrics.record_query_served(0, stale);
-            world.metrics.record_query_completed(0.0);
-        } else {
-            let parent = world
-                .tree
-                .parent(node)
-                .expect("the authority always serves its own queries");
-            send_msg(
-                world,
-                eng,
-                node,
-                parent,
-                MsgClass::Request,
-                Msg::Request {
-                    origin: node,
-                    visited: vec![node],
-                    issued_at: now,
-                    riders,
-                },
-            );
-        }
-    }
-
-    /// A request arrives from a child (mirrors `Runner::on_request`).
-    #[allow(clippy::too_many_arguments)] // one hop's full context, used once
-    fn on_request(
-        world: &mut World,
-        scheme: &mut S,
-        eng: &mut dyn EvSink<S::Msg>,
-        from: NodeId,
-        to: NodeId,
-        origin: NodeId,
-        mut visited: Vec<NodeId>,
-        issued_at: SimTime,
-        mut riders: Vec<NodeId>,
-    ) {
-        let now = eng.now();
-        let served = world.serving_record(to, now);
-        Self::observe_query(
-            world,
-            scheme,
-            eng,
-            to,
-            Some(from),
-            &mut riders,
-            served.is_none(),
-        );
-        if let Some(record) = served {
-            let stale = record.is_stale_versus(world.authority.current().version);
-            world
-                .metrics
-                .record_query_served(visited.len() as u32, stale);
-            let target = visited.pop().expect("request visited at least the origin");
-            send_msg(
-                world,
-                eng,
-                to,
-                target,
-                MsgClass::Reply,
-                Msg::Reply {
-                    record,
-                    remaining: visited,
-                    issued_at,
-                },
-            );
-        } else {
-            let parent = world
-                .tree
-                .parent(to)
-                .expect("the authority always has a serving record");
-            visited.push(to);
-            send_msg(
-                world,
-                eng,
-                to,
-                parent,
-                MsgClass::Request,
-                Msg::Request {
-                    origin,
-                    visited,
-                    issued_at,
-                    riders,
-                },
-            );
-        }
-    }
-
-    /// A reply arrives: cache and forward toward the origin (mirrors
-    /// `Runner::on_reply`).
-    fn on_reply(
-        world: &mut World,
-        eng: &mut dyn EvSink<S::Msg>,
-        to: NodeId,
-        record: dup_proto::IndexRecord,
-        mut remaining: Vec<NodeId>,
-        issued_at: SimTime,
-    ) {
-        world.cache.install(to, record);
-        if remaining.is_empty() {
-            let elapsed = eng.now().saturating_since(issued_at);
-            world.metrics.record_query_completed(elapsed.as_secs_f64());
-            return;
-        }
-        while let Some(target) = remaining.pop() {
-            if world.tree.is_alive(target) {
-                send_msg(
-                    world,
-                    eng,
-                    to,
-                    target,
-                    MsgClass::Reply,
-                    Msg::Reply {
-                        record,
-                        remaining,
-                        issued_at,
-                    },
-                );
-                return;
-            }
+            ev => step.handle(ev),
         }
     }
 }

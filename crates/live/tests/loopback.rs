@@ -108,6 +108,21 @@ fn restarted_node_rejoins_within_the_convergence_bound() {
 }
 
 #[test]
+fn restarted_child_of_the_root_resubscribes() {
+    // The restarted node numbers its tracked messages from 0 again; the
+    // root must not suppress the new life's subscribe as a duplicate of
+    // the old life's.
+    let mut cluster = smoke_cluster();
+    cluster.run_for(secs(3.0));
+    let victim = NodeId(1);
+    cluster.kill(victim);
+    cluster.run_for(secs(2.0));
+    cluster.restart(victim);
+    cluster.run_for(LiveConfig::smoke(smoke_parents()).convergence_bound());
+    oracle_check(&cluster.snapshots()).expect("post-restart cluster fails the oracle");
+}
+
+#[test]
 fn sub_threshold_link_outage_causes_no_expiry_and_recovers() {
     let mut cluster = smoke_cluster();
     cluster.run_for(secs(3.0));

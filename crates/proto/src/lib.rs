@@ -21,6 +21,8 @@
 //! * [`reliable`] — opt-in ack/retransmit delivery for maintenance and
 //!   push traffic: backoff schedules, pending-ack tracking, duplicate
 //!   suppression (disabled by default; draws nothing when off).
+//! * [`step`] — the per-node protocol step (query routing, message
+//!   dispatch, retransmits, publishing) every host shares.
 //! * [`runner`] — the discrete-event simulation runner.
 //! * [`pcx`] / [`cup`] — the two baseline schemes.
 //!
@@ -54,6 +56,7 @@ pub mod reliable;
 pub mod runner;
 pub mod scheme;
 pub mod space;
+pub mod step;
 pub mod telemetry;
 pub mod trace;
 
@@ -79,13 +82,14 @@ pub use runner::{
     SettledRun,
 };
 pub use scheme::{
-    resend_msg, send_msg, AppliedChurn, Clock, Ctx, Ev, EvSink, FaultState, FaultStats, FifoClocks,
-    Msg, Scheme, Transport, World,
+    send_msg, AppliedChurn, Clock, Ctx, Ev, EvSink, FaultState, FaultStats, FifoClocks, Msg,
+    Scheme, Transport, World,
 };
 pub use space::{
     run_simulation_space, run_simulation_space_logged, run_simulation_space_settled, ShardMap,
     SpaceSettledRun,
 };
+pub use step::{PathPool, Step};
 pub use telemetry::Registry;
 pub use trace::{
     perfetto_counter_events, perfetto_trace, EdgeKind, PropEdge, SpanInfo, TraceCollector,

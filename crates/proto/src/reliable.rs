@@ -371,6 +371,15 @@ impl ReliableState {
         }
     }
 
+    /// Drops `sender`'s dedup window. A restarted sender numbers its
+    /// tracked messages from 0 again, so the window its previous life left
+    /// behind would suppress the new life's messages as duplicates.
+    pub fn forget_sender(&mut self, sender: NodeId) {
+        if let Some(window) = self.seen.get_mut(sender.index()) {
+            *window = None;
+        }
+    }
+
     /// Unacked messages currently awaiting a retry timer (diagnostics).
     pub fn pending_count(&self) -> usize {
         self.pending.len()
@@ -543,6 +552,10 @@ mod tests {
             "dedup is keyed on (sender, seq)"
         );
         assert_eq!(r.stats().duplicates_suppressed, 1);
+        // A restarted sender reuses its sequence numbers.
+        r.forget_sender(NodeId(3));
+        assert!(r.on_tracked_delivery(NodeId(3), 42));
+        assert!(!r.on_tracked_delivery(NodeId(4), 42));
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The simulation runner: wires workload, overlay, caches, interest policy,
 //! and a [`Scheme`] together over the discrete-event engine.
 //!
-//! The runner implements everything the three schemes share — query routing
-//! up the search tree, serving from the first valid cache, path caching on
-//! the reply, the authority's refresh schedule, interest-window bookkeeping,
-//! and churn application — and gives the scheme its hooks at the points
-//! where PCX, CUP, and DUP differ.
+//! The runner owns the simulation's drivers — query arrivals and origin
+//! sampling, the authority's refresh schedule, churn application, warmup,
+//! time-series samples, the CI stop rule, and the settle phase — and hands
+//! every per-node protocol event to the shared [`Step`].
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -28,11 +27,10 @@ use crate::interest::InterestTracker;
 use crate::ledger::MsgClass;
 use crate::metrics::{Metrics, RunReport};
 use crate::probe::{ProbeEvent, ProbeSink, TraceSample};
-use crate::reliable::{ReliableState, RetryAction};
-use crate::scheme::{
-    resend_msg, send_msg, AppliedChurn, Ctx, Ev, EvSink, FaultState, FifoClocks, Msg, Scheme, World,
-};
+use crate::reliable::ReliableState;
+use crate::scheme::{AppliedChurn, Ctx, Ev, EvSink, FaultState, FifoClocks, Msg, Scheme, World};
 use crate::space::SpaceCtl;
+use crate::step::{PathPool, Step};
 use crate::trace::TraceCtx;
 
 /// Hard deadline for each settle/heal drain in [`Runner::run_settled`],
@@ -133,35 +131,6 @@ impl std::fmt::Display for LiveSetError {
 }
 
 impl std::error::Error for LiveSetError {}
-
-/// Recycled `Vec<NodeId>` path buffers (`visited`/`remaining`/`riders`),
-/// so steady-state query routing allocates nothing: a request's buffers
-/// return to the pool when its reply completes (or the message is lost to
-/// a departed node), keeping their capacity for the next query.
-#[derive(Debug, Default)]
-struct PathPool {
-    bufs: Vec<Vec<NodeId>>,
-}
-
-impl PathPool {
-    /// Buffers retained across queries; beyond this they are dropped. Two
-    /// buffers (visited + riders) are live per in-flight query, so this
-    /// covers hundreds of concurrent queries before the pool saturates.
-    const MAX_POOLED: usize = 1024;
-
-    #[inline]
-    fn take(&mut self) -> Vec<NodeId> {
-        self.bufs.pop().unwrap_or_default()
-    }
-
-    #[inline]
-    fn put(&mut self, mut buf: Vec<NodeId>) {
-        if self.bufs.len() < Self::MAX_POOLED {
-            buf.clear();
-            self.bufs.push(buf);
-        }
-    }
-}
 
 /// One configured simulation, ready to run.
 pub struct Runner<S: Scheme> {
@@ -616,6 +585,16 @@ impl<S: Scheme> Runner<S> {
         (self.scheme, self.world)
     }
 
+    /// The protocol step over this runner's node state.
+    fn step<'a>(&'a mut self, eng: &'a mut dyn EvSink<S::Msg>) -> Step<'a, S> {
+        Step {
+            world: &mut self.world,
+            scheme: &mut self.scheme,
+            pool: &mut self.pool,
+            eng,
+        }
+    }
+
     pub(crate) fn handle(&mut self, eng: &mut dyn EvSink<S::Msg>, ev: Ev<S::Msg>) {
         if matches!(
             ev,
@@ -630,6 +609,31 @@ impl<S: Scheme> Runner<S> {
             // only in-flight (and heal) messages still deliver.
             return;
         }
+        if let (
+            Some(log),
+            Ev::Deliver {
+                from,
+                to,
+                class,
+                msg,
+                ..
+            },
+        ) = (&mut self.log, &ev)
+        {
+            let tag = match msg {
+                Msg::Request { origin, .. } => u64::from(origin.0),
+                Msg::Reply { record, .. } => record.version.0,
+                Msg::Scheme(_) => 0,
+                Msg::Tracked { seq, .. } | Msg::Ack { seq } => *seq,
+            };
+            log.push(LogRecord {
+                at: eng.now(),
+                from: *from,
+                to: *to,
+                class: *class,
+                tag,
+            });
+        }
         match ev {
             Ev::NextQuery => {
                 // Every shard draws the gap and origin (keeping the
@@ -641,180 +645,14 @@ impl<S: Scheme> Runner<S> {
                     None => true,
                 };
                 if owned {
-                    self.begin_query(eng, origin);
+                    self.step(eng).begin_query(origin);
                 }
                 let gap = self.arrivals.next_gap(&mut self.arrivals_rng);
                 eng.schedule_after(gap, Ev::NextQuery);
             }
-            Ev::Deliver {
-                from,
-                to,
-                class,
-                cause,
-                msg,
-            } => {
-                self.world.trace.note_delivered();
-                if let Some(log) = &mut self.log {
-                    let tag = match &msg {
-                        Msg::Request { origin, .. } => u64::from(origin.0),
-                        Msg::Reply { record, .. } => record.version.0,
-                        Msg::Scheme(_) => 0,
-                        Msg::Tracked { seq, .. } => *seq,
-                        Msg::Ack { seq } => *seq,
-                    };
-                    log.push(LogRecord {
-                        at: eng.now(),
-                        from,
-                        to,
-                        class,
-                        tag,
-                    });
-                }
-                if !self.world.tree.is_alive(to) {
-                    // Message addressed to a departed node is lost; reclaim
-                    // its path buffers.
-                    match msg {
-                        Msg::Request {
-                            visited, riders, ..
-                        } => {
-                            self.pool.put(visited);
-                            self.pool.put(riders);
-                        }
-                        Msg::Reply { remaining, .. } => self.pool.put(remaining),
-                        Msg::Scheme(_) | Msg::Tracked { .. } | Msg::Ack { .. } => {}
-                    }
-                    return;
-                }
-                // Sends made while handling this delivery become its causal
-                // children.
-                self.world.trace.enter(cause);
-                let now = eng.now();
-                self.world.probe.emit(now, || ProbeEvent::MsgDelivered {
-                    from,
-                    to,
-                    class,
-                    span: cause.span,
-                });
-                match msg {
-                    Msg::Request {
-                        origin,
-                        visited,
-                        issued_at,
-                        riders,
-                    } => self.on_request(eng, from, to, origin, visited, issued_at, riders),
-                    Msg::Reply {
-                        record,
-                        remaining,
-                        issued_at,
-                    } => self.on_reply(eng, to, record, remaining, issued_at),
-                    Msg::Scheme(m) => {
-                        let mut ctx = Ctx {
-                            world: &mut self.world,
-                            engine: eng,
-                        };
-                        self.scheme.on_scheme_msg(&mut ctx, from, to, m);
-                    }
-                    Msg::Tracked { seq, inner } => {
-                        // Ack every physical arrival: a duplicate's ack
-                        // re-covers a possibly lost earlier ack. Acks ride
-                        // the Control class as plain (untracked) traffic.
-                        send_msg(
-                            &mut self.world,
-                            eng,
-                            to,
-                            from,
-                            MsgClass::Control,
-                            Msg::Ack { seq },
-                        );
-                        if self.world.reliable.on_tracked_delivery(from, seq) {
-                            let mut ctx = Ctx {
-                                world: &mut self.world,
-                                engine: eng,
-                            };
-                            self.scheme.on_scheme_msg(&mut ctx, from, to, inner);
-                        } else {
-                            self.world.probe.emit(now, || ProbeEvent::DupSuppressed {
-                                from,
-                                to,
-                                seq,
-                            });
-                        }
-                    }
-                    Msg::Ack { seq } => {
-                        if let Some(timer) = self.world.reliable.on_ack(seq) {
-                            eng.cancel(timer);
-                        }
-                    }
-                }
-            }
             Ev::Refresh => {
-                // An authority refresh closes one TTL epoch: under the epoch
-                // interest policy, quiet nodes lapse now — before the new
-                // version is pushed, so just-lapsed nodes unsubscribe first.
-                if self.world.interest.policy() == crate::interest::InterestPolicy::Epoch {
-                    if self.world.probe.enabled() {
-                        // Lapse traffic forms its own maintenance trace, not
-                        // part of the update about to publish.
-                        self.world.trace.begin_maintenance();
-                    }
-                    let lapsed = self.world.interest.roll_epoch();
-                    for node in lapsed {
-                        if !self.world.tree.is_alive(node) {
-                            continue;
-                        }
-                        let mut ctx = Ctx {
-                            world: &mut self.world,
-                            engine: eng,
-                        };
-                        self.scheme.on_interest_lost(&mut ctx, node);
-                    }
-                }
-                let record = self.world.authority.refresh(eng.now());
-                if self.world.probe.enabled() {
-                    // Root the update's propagation trace at the publish:
-                    // every push the scheme now sends joins this trace.
-                    // Under trace sampling, unsampled versions get no root
-                    // span — and no UpdatePublished event, so collectors
-                    // never see a trace they cannot follow edge-for-edge.
-                    let span = self.world.trace.begin_update(record.version.0);
-                    if span.is_traced() {
-                        let origin = self.world.tree.root();
-                        let version = record.version.0;
-                        self.world
-                            .probe
-                            .emit(eng.now(), || ProbeEvent::UpdatePublished {
-                                node: origin,
-                                version,
-                            });
-                    }
-                }
-                {
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_refresh(&mut ctx, record);
-                }
+                self.step(eng).refresh();
                 eng.schedule(self.world.authority.next_refresh_at(), Ev::Refresh);
-            }
-            Ev::InterestCheck { node } => {
-                if !self.world.tree.is_alive(node) {
-                    return;
-                }
-                let outcome = self.world.interest.run_check(node, eng.now());
-                if let Some(at) = outcome.reschedule_at {
-                    eng.schedule(at, Ev::InterestCheck { node });
-                }
-                if outcome.lapsed {
-                    if self.world.probe.enabled() {
-                        self.world.trace.begin_maintenance();
-                    }
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_interest_lost(&mut ctx, node);
-                }
             }
             Ev::EndWarmup => self.world.metrics.start_recording(),
             Ev::CiCheck => {
@@ -856,74 +694,13 @@ impl<S: Scheme> Runner<S> {
                 let every = SimDuration::from_secs_f64(self.cfg.probe.sample_every_secs);
                 eng.schedule_after(every, Ev::Sample);
             }
-            Ev::Retry {
-                from,
-                to,
-                class,
-                seq,
-                attempt,
-                cause,
-                msg,
-            } => {
-                if !self.world.tree.is_alive(from) {
-                    // The sender departed; its unacked state dies with it.
-                    self.world.reliable.forget(seq);
-                    return;
-                }
-                match self.world.reliable.on_retry_fire(seq, attempt) {
-                    RetryAction::Settled => {}
-                    action => {
-                        self.world.probe.emit(eng.now(), || ProbeEvent::Retransmit {
-                            from,
-                            to,
-                            class,
-                            seq,
-                            attempt,
-                        });
-                        if let RetryAction::ResendAndRearm(delay) = action {
-                            let timer = eng.schedule_after(
-                                SimDuration::from_secs_f64(delay),
-                                Ev::Retry {
-                                    from,
-                                    to,
-                                    class,
-                                    seq,
-                                    attempt: attempt + 1,
-                                    cause,
-                                    msg: msg.clone(),
-                                },
-                            );
-                            self.world.reliable.retimer(seq, timer);
-                        }
-                        // The retransmit reuses the original causal span, so
-                        // the trace collector books it as another delivery of
-                        // the same logical message.
-                        resend_msg(
-                            &mut self.world,
-                            eng,
-                            from,
-                            to,
-                            class,
-                            cause,
-                            Msg::Tracked { seq, inner: msg },
-                        );
-                    }
-                }
-            }
             Ev::LeaseTick => {
-                if self.world.probe.enabled() {
-                    // Lease renewals and repairs form maintenance traces.
-                    self.world.trace.begin_maintenance();
-                }
-                {
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_lease_tick(&mut ctx);
-                }
+                self.step(eng).lease_tick();
                 let every = SimDuration::from_secs_f64(self.cfg.reliability.lease_every_secs);
                 eng.schedule_after(every, Ev::LeaseTick);
+            }
+            ev @ (Ev::Deliver { .. } | Ev::Retry { .. } | Ev::InterestCheck { .. }) => {
+                self.step(eng).handle(ev)
             }
         }
     }
@@ -964,199 +741,6 @@ impl<S: Scheme> Runner<S> {
             // fall back to the authority defensively.
             self.world.tree.root()
         }
-    }
-
-    /// Emits [`ProbeEvent::CacheExpire`] when `node` consulted its cache and
-    /// found only an expired copy. Expiry is lazy — there is no per-slot
-    /// timer — so the probe reports it at the moment it is *observed*, which
-    /// is also when it affects the protocol.
-    fn note_expiry_if_observed(&mut self, now: SimTime, node: NodeId, served: bool) {
-        if !served && self.world.probe.enabled() && self.world.cache.raw(node).is_some() {
-            self.world
-                .probe
-                .emit(now, || ProbeEvent::CacheExpire { node });
-        }
-    }
-
-    /// Interest bookkeeping + scheme hook for a query observed at `node`.
-    /// `riders` is the request's piggyback payload (fresh at the origin) and
-    /// `forwarding` tells the scheme whether the request continues upstream.
-    fn observe_query(
-        &mut self,
-        eng: &mut dyn EvSink<S::Msg>,
-        node: NodeId,
-        prev: Option<NodeId>,
-        riders: &mut Vec<NodeId>,
-        forwarding: bool,
-    ) {
-        let obs = self.world.interest.observe(node, eng.now());
-        if let Some(at) = obs.schedule_check_at {
-            eng.schedule(at, Ev::InterestCheck { node });
-        }
-        let mut ctx = Ctx {
-            world: &mut self.world,
-            engine: eng,
-        };
-        self.scheme
-            .on_query_step(&mut ctx, node, prev, riders, forwarding);
-    }
-
-    /// A locally generated query at `node`.
-    fn begin_query(&mut self, eng: &mut dyn EvSink<S::Msg>, node: NodeId) {
-        if self.world.probe.enabled() {
-            self.world.trace.begin_query();
-        }
-        let now = eng.now();
-        let served = self.world.serving_record(node, now);
-        self.world
-            .probe
-            .emit(now, || ProbeEvent::QueryIssued { origin: node });
-        self.note_expiry_if_observed(now, node, served.is_some());
-        let mut riders = self.pool.take();
-        self.observe_query(eng, node, None, &mut riders, served.is_none());
-        if let Some(record) = served {
-            self.pool.put(riders);
-            let stale = record.is_stale_versus(self.world.authority.current().version);
-            self.world.metrics.record_query_served(0, stale);
-            self.world.metrics.record_query_completed(0.0);
-            self.world.probe.emit(now, || ProbeEvent::QueryServed {
-                origin: node,
-                server: node,
-                hops: 0,
-                stale,
-            });
-        } else {
-            let parent = self
-                .world
-                .tree
-                .parent(node)
-                .expect("the authority always serves its own queries");
-            let mut visited = self.pool.take();
-            visited.push(node);
-            send_msg(
-                &mut self.world,
-                eng,
-                node,
-                parent,
-                MsgClass::Request,
-                Msg::Request {
-                    origin: node,
-                    visited,
-                    issued_at: now,
-                    riders,
-                },
-            );
-        }
-    }
-
-    /// A request arrives at `to` from its child `from`.
-    #[allow(clippy::too_many_arguments)] // one hop's full context, used once
-    fn on_request(
-        &mut self,
-        eng: &mut dyn EvSink<S::Msg>,
-        from: NodeId,
-        to: NodeId,
-        origin: NodeId,
-        mut visited: Vec<NodeId>,
-        issued_at: SimTime,
-        mut riders: Vec<NodeId>,
-    ) {
-        let now = eng.now();
-        let served = self.world.serving_record(to, now);
-        self.note_expiry_if_observed(now, to, served.is_some());
-        self.observe_query(eng, to, Some(from), &mut riders, served.is_none());
-        if let Some(record) = served {
-            self.pool.put(riders);
-            let stale = record.is_stale_versus(self.world.authority.current().version);
-            self.world
-                .metrics
-                .record_query_served(visited.len() as u32, stale);
-            self.world.probe.emit(now, || ProbeEvent::QueryServed {
-                origin,
-                server: to,
-                hops: visited.len() as u32,
-                stale,
-            });
-            let target = visited.pop().expect("request visited at least the origin");
-            send_msg(
-                &mut self.world,
-                eng,
-                to,
-                target,
-                MsgClass::Reply,
-                Msg::Reply {
-                    record,
-                    remaining: visited,
-                    issued_at,
-                },
-            );
-        } else {
-            let parent = self
-                .world
-                .tree
-                .parent(to)
-                .expect("the authority always has a serving record");
-            visited.push(to);
-            send_msg(
-                &mut self.world,
-                eng,
-                to,
-                parent,
-                MsgClass::Request,
-                Msg::Request {
-                    origin,
-                    visited,
-                    issued_at,
-                    riders,
-                },
-            );
-        }
-    }
-
-    /// A reply arrives at `to`: path-cache the record and forward toward the
-    /// origin, skipping nodes that departed while the reply was in flight.
-    fn on_reply(
-        &mut self,
-        eng: &mut dyn EvSink<S::Msg>,
-        to: NodeId,
-        record: crate::index::IndexRecord,
-        mut remaining: Vec<NodeId>,
-        issued_at: SimTime,
-    ) {
-        if self.world.cache.install(to, record) {
-            let now = eng.now();
-            let version = record.version.0;
-            self.world
-                .probe
-                .emit(now, || ProbeEvent::CacheInsert { node: to, version });
-        }
-        if remaining.is_empty() {
-            self.pool.put(remaining);
-            let elapsed = eng.now().saturating_since(issued_at);
-            self.world
-                .metrics
-                .record_query_completed(elapsed.as_secs_f64());
-            return;
-        }
-        while let Some(target) = remaining.pop() {
-            if self.world.tree.is_alive(target) {
-                send_msg(
-                    &mut self.world,
-                    eng,
-                    to,
-                    target,
-                    MsgClass::Reply,
-                    Msg::Reply {
-                        record,
-                        remaining,
-                        issued_at,
-                    },
-                );
-                return;
-            }
-        }
-        // Every remaining path node (including the origin) departed.
-        self.pool.put(remaining);
     }
 
     /// The gap to the next churn event. The fault layer's scripted windows

@@ -784,7 +784,7 @@ pub fn send_msg<M: Clone>(
 /// delivery of the same logical message, attributed to the update it
 /// repairs — and arms no new tracking (the caller manages the timer
 /// chain).
-pub fn resend_msg<M: Clone>(
+pub(crate) fn resend_msg<M: Clone>(
     world: &mut World,
     engine: &mut dyn EvSink<M>,
     from: NodeId,
@@ -985,13 +985,14 @@ pub trait Scheme: Sized {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{AuthorityClock, CacheStore, InterestTracker, Metrics};
     use dup_overlay::regular_search_tree;
     use dup_sim::SimDuration;
 
-    fn world() -> World {
+    /// Root N0 with children N1..N3, reliability and probe off.
+    pub(crate) fn world() -> World {
         let tree = regular_search_tree(4, 3);
         let mut metrics = Metrics::new(10);
         metrics.start_recording();
