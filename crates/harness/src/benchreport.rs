@@ -83,7 +83,8 @@ pub struct ShardBench {
 /// its node space partitioned across `space_shards` engine shards. Unlike
 /// the ensemble curve (independent replications), every point simulates the
 /// *same* run — the merged event logs are bit-identical across shard counts
-/// — so wall-clock differences are pure parallelization.
+/// — so wall-clock differences are the cost or gain of the partition
+/// itself.
 #[derive(Debug, Clone, Serialize)]
 pub struct SpaceBench {
     /// Scheme name (the curve runs DUP, the paper's headline scheme).
@@ -95,12 +96,13 @@ pub struct SpaceBench {
     /// Discrete events of the run (driver replicas deduplicated; shrinks
     /// by nothing across shard counts — the simulated run is the same).
     pub events: u64,
-    /// Median wall-clock nanoseconds (one worker thread per shard).
+    /// Median wall-clock nanoseconds (the shards share one thread).
     pub wall_ns_median: u64,
     /// Median events per wall-clock second.
     pub events_per_sec: f64,
-    /// One-shard median / this median — the space-parallel speedup.
-    /// Meaningless when the host exposed one core (see `BenchReport::cores`).
+    /// One-shard median / this median. The shards share one thread on any
+    /// host, so this is the partition's own cost or gain (below 1 when the
+    /// replicated drivers and window barriers cost more than they save).
     pub speedup_vs_one_shard: f64,
     /// Fraction of message deliveries that crossed a shard boundary.
     pub cross_shard_message_ratio: f64,

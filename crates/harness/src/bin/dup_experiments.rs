@@ -75,9 +75,9 @@
 //!                    mode: one worker thread and one event queue per
 //!                    shard; default 1 = classic single-queue)
 //!   --space-shards <n>   partition each run's node space across <n>
-//!                    engine shards (one simulation, one worker thread per
-//!                    shard; default 1 = classic single-queue; mutually
-//!                    exclusive with --shards)
+//!                    engine shards (one simulation, shards run one after
+//!                    another on one thread; default 1 = classic
+//!                    single-queue; mutually exclusive with --shards)
 //!   --seeds <n>      scenarios per scheme for `fuzz`/`chaos` (default 16)
 //!                    and per family for `scenarios` (default 2); scenario
 //!                    seeds derive from --seed

@@ -568,10 +568,10 @@ pub struct RunConfig {
     /// Number of *space* shards: `1` (the default, and what older
     /// serialized configs deserialize to) runs the classic single-queue
     /// simulation; `S > 1` partitions **one** run's node space across `S`
-    /// shards of a conservative parallel engine (lookahead = the hop
-    /// latency floor), producing a bit-identical event log to the 1-shard
-    /// run — see `dup_proto::space`. Mutually exclusive with ensemble
-    /// `shards > 1`.
+    /// shards of a conservative lookahead-window engine (lookahead = the
+    /// hop latency floor; the shards share the calling thread), producing
+    /// a bit-identical event log to the 1-shard run — see
+    /// `dup_proto::space`. Mutually exclusive with ensemble `shards > 1`.
     #[serde(default = "default_shards")]
     pub space_shards: usize,
 }

@@ -1,8 +1,9 @@
 //! Space-parallel execution: one simulation's node space partitioned
-//! across the shards of a conservative parallel engine.
+//! across the shards of a conservative lookahead-window engine.
 //!
 //! Ensemble sharding (`RunConfig::shards`) runs *independent* replications
-//! in parallel; this module parallelizes a *single* run. Each shard holds a
+//! in parallel; this module partitions a *single* run. The shards run one
+//! after another on the calling thread (see [`ShardedEngine`]). Each shard holds a
 //! full [`Runner`] built from the identical configuration and seed — same
 //! topology, authority clock, arrival/origin streams, Zipf rank map — and
 //! the deterministic [`ShardMap`] assigns every node an owner shard:
@@ -317,8 +318,8 @@ where
     }
 
     /// Runs to the horizon and assembles the merged report.
-    fn finish(&mut self, threaded: bool) -> RunReport {
-        self.engine.run_until(self.horizon, threaded);
+    fn finish(&mut self) -> RunReport {
+        self.engine.run_until(self.horizon);
 
         // Aggregate event count: every shard pops its own replica of the
         // periodic drivers; keep one copy of each, plus all real events.
@@ -395,9 +396,10 @@ where
 }
 
 /// Runs one simulation with its node space partitioned across
-/// `cfg.space_shards` engine shards (one worker thread per shard), and
-/// returns the merged report. With `space_shards = 1` the result is
-/// bit-identical to [`crate::run_simulation`].
+/// `cfg.space_shards` engine shards, and returns the merged report. The
+/// shards run one after another on the calling thread, one lookahead
+/// window at a time (see [`ShardedEngine`]). With `space_shards = 1` the
+/// result is bit-identical to [`crate::run_simulation`].
 pub fn run_simulation_space<S>(
     cfg: &RunConfig,
     make_scheme: impl FnMut() -> S,
@@ -408,7 +410,7 @@ where
     S::Msg: Send,
 {
     let mut run = SpaceRun::launch(cfg, make_scheme, probe, false);
-    run.finish(true)
+    run.finish()
 }
 
 /// [`run_simulation_space`] plus the canonically ordered message-delivery
@@ -423,7 +425,7 @@ where
     S::Msg: Send,
 {
     let mut run = SpaceRun::launch(cfg, make_scheme, ProbeSink::disabled(), true);
-    let report = run.finish(true);
+    let report = run.finish();
     let log = run.take_merged_log();
     (report, log)
 }
@@ -446,12 +448,12 @@ where
     H: FnMut(&mut S, &mut Ctx<'_, S::Msg>, usize),
 {
     let mut run = SpaceRun::launch(cfg, make_scheme, ProbeSink::disabled(), logged);
-    let report = run.finish(true);
+    let report = run.finish();
     let shards = run.shards;
     for i in 0..shards {
         run.engine.model_mut(i).runner.begin_settling();
     }
-    run.engine.run(true);
+    run.engine.run();
     for phase in 0..heal_phases {
         let at = run.engine.last_event_time().unwrap_or(run.horizon);
         run.engine.barrier_inject(at, |model, ctx| {
@@ -476,7 +478,7 @@ where
             };
             heal(scheme, &mut hctx, phase);
         });
-        run.engine.run(true);
+        run.engine.run();
     }
     let log = run.take_merged_log();
     let map = ShardMap::new(

@@ -2,7 +2,7 @@
 //!
 //! Answers "where does the wall clock go?" for a simulation run: queue pops
 //! vs. handler dispatch in the sequential [`crate::Engine`], and busy vs.
-//! barrier-wait vs. idle-fast-forward time in the [`crate::ShardedEngine`].
+//! merge vs. idle-fast-forward time in the [`crate::ShardedEngine`].
 //! Profiling is off by default and costs nothing when disabled (a couple
 //! of `Option` checks per loop iteration). When enabled, clock reads are
 //! **strided**: only one event in [`TIME_SAMPLE_EVERY`] is actually timed,
@@ -97,17 +97,13 @@ impl EngineProfiler {
 
 /// Wall-clock profile of a [`crate::ShardedEngine`] run.
 ///
-/// `busy_secs[i]` sums shard `i`'s in-window processing time;
-/// `barrier_wait_secs[i]` sums, per window, how long shard `i` sat finished
-/// while the slowest shard of that window was still running — the direct
-/// measure of load imbalance across the space partition.
+/// `busy_secs[i]` sums shard `i`'s in-window processing time; its spread
+/// across shards ([`ShardProfile::busy_skew`]) measures load imbalance
+/// across the space partition.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ShardProfile {
     /// Per-shard wall-clock seconds spent processing events inside windows.
     pub busy_secs: Vec<f64>,
-    /// Per-shard wall-clock seconds waiting at window barriers for the
-    /// slowest shard.
-    pub barrier_wait_secs: Vec<f64>,
     /// Wall-clock seconds merging cross-shard outboxes at barriers.
     pub merge_secs: f64,
     /// Windows whose start fast-forwarded over an idle gap.
@@ -121,19 +117,7 @@ impl ShardProfile {
     pub fn new(shards: usize) -> Self {
         ShardProfile {
             busy_secs: vec![0.0; shards],
-            barrier_wait_secs: vec![0.0; shards],
-            merge_secs: 0.0,
-            fast_forward_windows: 0,
-            fast_forward_sim_secs: 0.0,
-        }
-    }
-
-    /// Folds one window's per-shard wall durations into the totals.
-    pub fn record_window(&mut self, durations: &[f64]) {
-        let slowest = durations.iter().copied().fold(0.0, f64::max);
-        for (i, &d) in durations.iter().enumerate() {
-            self.busy_secs[i] += d;
-            self.barrier_wait_secs[i] += slowest - d;
+            ..ShardProfile::default()
         }
     }
 
@@ -169,12 +153,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_profile_window_accounting() {
+    fn shard_profile_busy_skew() {
         let mut p = ShardProfile::new(3);
-        p.record_window(&[1.0, 3.0, 2.0]);
-        p.record_window(&[2.0, 2.0, 2.0]);
-        assert_eq!(p.busy_secs, vec![3.0, 5.0, 4.0]);
-        assert_eq!(p.barrier_wait_secs, vec![2.0, 0.0, 1.0]);
+        p.busy_secs = vec![3.0, 5.0, 4.0];
         // max busy 5, mean 4 → skew 1.25
         assert!((p.busy_skew().unwrap() - 1.25).abs() < 1e-12);
     }

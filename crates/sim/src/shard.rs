@@ -1,12 +1,14 @@
-//! Conservative parallel discrete-event execution.
+//! Conservative lookahead-window discrete-event execution.
 //!
 //! [`ShardedEngine`] partitions a model across shards, each owning its own
 //! [`EventQueue`], and advances all shards in lockstep *lookahead windows*:
 //!
-//! 1. Every shard independently processes its local events with timestamps
-//!    inside the current window `[start, start + lookahead)`. Within a
-//!    window shards share no mutable state, so this step may run on one
-//!    thread per shard.
+//! 1. Every shard processes its local events with timestamps inside the
+//!    current window `[start, start + lookahead)`, one shard after another
+//!    on the calling thread. Within a window shards share no mutable
+//!    state, so the order in which they run does not matter. No worker
+//!    threads are used: a window of today's space-partitioned runs holds
+//!    one to a few events, far less work than a thread spawn costs.
 //! 2. Cross-shard messages emitted during the window are buffered in
 //!    per-shard outboxes. The conservative guarantee — a cross-shard send
 //!    must be timestamped at least `lookahead` after the sender's clock —
@@ -14,9 +16,8 @@
 //!    can miss one that it should already have processed.
 //! 3. At the window barrier the outboxes are merged and delivered in a
 //!    canonical order — `(timestamp, source shard, emission index)` — so
-//!    destination queues assign tie-breaking sequence numbers identically
-//!    no matter how many threads ran step 1. Threaded and sequential
-//!    execution are therefore **bit-identical**.
+//!    destination queues assign tie-breaking sequence numbers from
+//!    simulation state alone, never from the order shards ran step 1.
 //!
 //! The window start fast-forwards over idle gaps (to the earliest pending
 //! event across all shards) — a function of simulation state only, so the
@@ -134,6 +135,24 @@ struct ShardState<M: ShardModel> {
     last_event_at: Option<SimTime>,
 }
 
+impl<M: ShardModel> ShardState<M> {
+    /// Runs this shard's events before (exclusive) `end`.
+    fn advance(&mut self, shard: usize, end: SimTime, lookahead: SimDuration) {
+        while let Popped::Event((now, event)) = self.queue.pop_before(Some(end)) {
+            self.events += 1;
+            self.last_event_at = Some(now);
+            let mut ctx = ShardCtx {
+                shard,
+                now,
+                lookahead,
+                queue: &mut self.queue,
+                outbox: &mut self.outbox,
+            };
+            self.model.handle(event, &mut ctx);
+        }
+    }
+}
+
 /// Aggregate statistics of a [`ShardedEngine`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRunReport {
@@ -157,6 +176,8 @@ pub struct ShardedEngine<M: ShardModel> {
     now: SimTime,
     windows: u64,
     cross_messages: u64,
+    /// Merge buffer, reused across barriers: `(source shard, message)`.
+    inflight: Vec<(u32, CrossMsg<M::Event>)>,
     profile: Option<Box<ShardProfile>>,
 }
 
@@ -198,13 +219,14 @@ impl<M: ShardModel> ShardedEngine<M> {
             now: SimTime::ZERO,
             windows: 0,
             cross_messages: 0,
+            inflight: Vec::new(),
             profile: None,
         }
     }
 
-    /// Enables self-profiling: per-shard busy and barrier-wait wall time,
-    /// idle fast-forward accounting, and outbox-merge time. Wall-clock
-    /// only — never affects the (bit-identical) event schedule.
+    /// Enables self-profiling: per-shard busy wall time, idle fast-forward
+    /// accounting, and outbox-merge time. Wall-clock only — never affects
+    /// the (bit-identical) event schedule.
     pub fn enable_profiler(&mut self) {
         if self.profile.is_none() {
             self.profile = Some(Box::new(ShardProfile::new(self.shards.len())));
@@ -238,71 +260,6 @@ impl<M: ShardModel> ShardedEngine<M> {
         self.shards.iter().filter_map(|s| s.queue.peek_time()).min()
     }
 
-    /// Runs one shard up to (exclusive) `horizon`. Free function so the
-    /// threaded path can move a disjoint `&mut` per shard into its worker.
-    fn advance(shard: usize, state: &mut ShardState<M>, horizon: SimTime, lookahead: SimDuration) {
-        while let Popped::Event((now, event)) = state.queue.pop_before(Some(horizon)) {
-            state.events += 1;
-            state.last_event_at = Some(now);
-            let mut ctx = ShardCtx {
-                shard,
-                now,
-                lookahead,
-                queue: &mut state.queue,
-                outbox: &mut state.outbox,
-            };
-            state.model.handle(event, &mut ctx);
-        }
-    }
-
-    /// Advances every shard to `end`, one worker thread per shard when
-    /// `threaded`. Returns per-shard wall durations when `profiling` (the
-    /// unprofiled path never reads the clock).
-    fn advance_all(
-        shards: &mut [ShardState<M>],
-        end: SimTime,
-        lookahead: SimDuration,
-        threaded: bool,
-        profiling: bool,
-    ) -> Option<Vec<f64>> {
-        // Materialize the per-shard results eagerly: every shard must
-        // advance regardless of whether anyone wants the timings.
-        let durations: Vec<Option<f64>> = if threaded && shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, state)| {
-                        scope.spawn(move || {
-                            let started = profiling.then(Instant::now);
-                            Self::advance(i, state, end, lookahead);
-                            started.map(|t| t.elapsed().as_secs_f64())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-        } else {
-            shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, state)| {
-                    let started = profiling.then(Instant::now);
-                    Self::advance(i, state, end, lookahead);
-                    started.map(|t| t.elapsed().as_secs_f64())
-                })
-                .collect()
-        };
-        if profiling {
-            Some(durations.into_iter().flatten().collect())
-        } else {
-            None
-        }
-    }
-
     /// Fast-forwards the clock to `earliest` when it lies ahead, recording
     /// the skipped idle gap in the profile.
     fn fast_forward_to(&mut self, earliest: SimTime) {
@@ -315,56 +272,44 @@ impl<M: ShardModel> ShardedEngine<M> {
         }
     }
 
-    /// One window's barrier: merge outboxes (timed when profiling) and fold
-    /// the per-shard advance durations into the profile.
-    fn finish_window(&mut self, durations: Option<Vec<f64>>) {
-        let merge_started = self.profile.as_ref().map(|_| Instant::now());
-        self.merge_outboxes();
-        if let Some(p) = self.profile.as_mut() {
-            p.merge_secs += merge_started.expect("profiling").elapsed().as_secs_f64();
-            if let Some(durations) = durations {
-                p.record_window(&durations);
+    /// Runs one lookahead window: fast-forwards the clock to the earliest
+    /// pending event `earliest`, advances every shard in shard order to the
+    /// window end (clamped to `limit`), then merges and delivers the
+    /// cross-shard outboxes in canonical order.
+    fn window(&mut self, earliest: SimTime, limit: SimTime) {
+        self.fast_forward_to(earliest);
+        let end = (self.now + self.lookahead).min(limit);
+        for (i, state) in self.shards.iter_mut().enumerate() {
+            let started = self.profile.is_some().then(Instant::now);
+            state.advance(i, end, self.lookahead);
+            if let (Some(p), Some(started)) = (self.profile.as_mut(), started) {
+                p.busy_secs[i] += started.elapsed().as_secs_f64();
             }
         }
-        self.windows += 1;
-    }
-
-    /// Runs one lookahead window: advance every shard to the window end,
-    /// then merge and deliver the cross-shard outboxes in canonical order.
-    /// Returns false when the engine is idle (nothing was pending).
-    fn step(&mut self, threaded: bool) -> bool {
-        // Fast-forward over idle gaps; a function of queue state only, so
-        // threaded and sequential runs see the same barrier schedule.
-        match self.earliest() {
-            Some(t) => self.fast_forward_to(t),
-            None => return false,
+        let merge_started = self.profile.is_some().then(Instant::now);
+        self.merge_outboxes();
+        if let (Some(p), Some(merge_started)) = (self.profile.as_mut(), merge_started) {
+            p.merge_secs += merge_started.elapsed().as_secs_f64();
         }
-        let horizon = self.now + self.lookahead;
-        let durations = Self::advance_all(
-            &mut self.shards,
-            horizon,
-            self.lookahead,
-            threaded,
-            self.profile.is_some(),
-        );
-        self.finish_window(durations);
-        self.now = horizon;
-        true
+        self.windows += 1;
+        self.now = end;
     }
 
     /// Barrier: delivers every shard's outbox in the canonical
     /// `(time, source shard, emission index)` order, which makes
-    /// destination-queue sequence numbers independent of thread scheduling.
+    /// destination-queue sequence numbers independent of shard execution
+    /// order.
     fn merge_outboxes(&mut self) {
-        let mut inflight: Vec<(SimTime, u32, u32, CrossMsg<M::Event>)> = Vec::new();
         for (src, state) in self.shards.iter_mut().enumerate() {
-            for msg in state.outbox.drain(..) {
-                inflight.push((msg.at, src as u32, msg.idx, msg));
-            }
+            self.inflight
+                .extend(state.outbox.drain(..).map(|msg| (src as u32, msg)));
         }
-        inflight.sort_by_key(|&(at, src, idx, _)| (at, src, idx));
-        self.cross_messages += inflight.len() as u64;
-        for (_, _, _, msg) in inflight {
+        // Keys are unique (one emission index per message per source), so
+        // an unstable sort gives the same order and needs no scratch space.
+        self.inflight
+            .sort_unstable_by_key(|(src, msg)| (msg.at, *src, msg.idx));
+        self.cross_messages += self.inflight.len() as u64;
+        for (_, msg) in self.inflight.drain(..) {
             self.shards[msg.dst as usize].queue.push(msg.at, msg.event);
         }
     }
@@ -377,23 +322,9 @@ impl<M: ShardModel> ShardedEngine<M> {
     /// at `start` is timestamped ≥ its sender's clock + lookahead ≥
     /// `start` + lookahead ≥ the clamped window end, so it is merged at the
     /// barrier before any shard's clock can pass it.
-    pub fn run_until(&mut self, horizon: SimTime, threaded: bool) {
-        loop {
-            let earliest = match self.earliest() {
-                Some(t) if t < horizon => t,
-                _ => break,
-            };
-            self.fast_forward_to(earliest);
-            let end = (self.now + self.lookahead).min(horizon);
-            let durations = Self::advance_all(
-                &mut self.shards,
-                end,
-                self.lookahead,
-                threaded,
-                self.profile.is_some(),
-            );
-            self.finish_window(durations);
-            self.now = end;
+    pub fn run_until(&mut self, horizon: SimTime) {
+        while let Some(earliest) = self.earliest().filter(|&t| t < horizon) {
+            self.window(earliest, horizon);
         }
         self.now = horizon.max(self.now);
     }
@@ -474,11 +405,14 @@ impl<M: ShardModel> ShardedEngine<M> {
         &mut self.shards[shard].model
     }
 
-    /// Runs until every shard's queue drains. `threaded` selects one worker
-    /// thread per shard inside each window; the result is bit-identical
-    /// either way.
-    pub fn run(&mut self, threaded: bool) -> ShardRunReport {
-        while self.step(threaded) {}
+    /// Runs until every shard's queue drains, one window at a time on the
+    /// calling thread.
+    pub fn run(&mut self) -> ShardRunReport {
+        // Not `run_until(SimTime::MAX)`: that would park the clock at MAX
+        // and refuse any later `schedule` or `barrier_inject`.
+        while let Some(earliest) = self.earliest() {
+            self.window(earliest, SimTime::MAX);
+        }
         ShardRunReport {
             events_per_shard: self.shards.iter().map(|s| s.events).collect(),
             total_events: self.shards.iter().map(|s| s.events).sum(),
@@ -589,31 +523,31 @@ mod tests {
     }
 
     #[test]
-    fn threaded_run_is_bit_identical_to_sequential() {
-        let mut seq = phold_engine(4, 400);
-        let seq_report = seq.run(false);
-        let seq_logs: Vec<_> = seq.into_models().into_iter().map(|m| m.log).collect();
+    fn repeated_runs_are_bit_identical_and_count_every_event() {
+        let mut first = phold_engine(4, 400);
+        let first_report = first.run();
+        let first_logs: Vec<_> = first.into_models().into_iter().map(|m| m.log).collect();
 
-        let mut par = phold_engine(4, 400);
-        let par_report = par.run(true);
-        let par_logs: Vec<_> = par.into_models().into_iter().map(|m| m.log).collect();
+        let mut second = phold_engine(4, 400);
+        let second_report = second.run();
+        let second_logs: Vec<_> = second.into_models().into_iter().map(|m| m.log).collect();
 
-        assert_eq!(seq_report, par_report);
-        assert_eq!(seq_logs, par_logs);
+        assert_eq!(first_report, second_report);
+        assert_eq!(first_logs, second_logs);
         assert!(
-            seq_report.cross_messages > 0,
+            first_report.cross_messages > 0,
             "workload never crossed shards"
         );
         assert_eq!(
-            seq_report.total_events,
-            seq_logs.iter().map(|l| l.len() as u64).sum()
+            first_report.total_events,
+            first_logs.iter().map(|l| l.len() as u64).sum()
         );
     }
 
     #[test]
     fn single_shard_degenerates_to_a_plain_event_loop() {
         let mut eng = phold_engine(1, 100);
-        let report = eng.run(true);
+        let report = eng.run();
         assert_eq!(report.events_per_shard.len(), 1);
         assert_eq!(report.cross_messages, 0);
         assert_eq!(report.total_events, 101);
@@ -632,7 +566,7 @@ mod tests {
         eng.schedule(0, SimTime::from_secs(1), ());
         eng.schedule(1, SimTime::from_secs(3600), ());
         eng.schedule(0, SimTime::from_secs(7200), ());
-        let report = eng.run(false);
+        let report = eng.run();
         assert_eq!(report.total_events, 3);
         assert!(report.windows <= 3, "spun {} windows", report.windows);
     }
@@ -650,28 +584,28 @@ mod tests {
         }
         let mut eng = ShardedEngine::new(vec![Eager, Eager], SimDuration::from_nanos(10_000_000));
         eng.schedule(0, SimTime::ZERO, ());
-        eng.run(false);
+        eng.run();
     }
 
     #[test]
     fn run_until_clamps_windows_and_matches_full_run_prefix() {
         // Run to a mid-stream horizon, then to the end: the composed run's
-        // logs must equal one uninterrupted run's, threaded or not.
+        // logs must equal one uninterrupted run's.
         let mut whole = phold_engine(4, 400);
-        whole.run(false);
+        whole.run();
         let whole_logs: Vec<_> = whole.into_models().into_iter().map(|m| m.log).collect();
 
         let mut split = phold_engine(4, 400);
-        split.run_until(SimTime::from_secs(1), true);
+        split.run_until(SimTime::from_secs(1));
         let mid_events: u64 = split.events_per_shard().iter().sum();
-        split.run(true);
+        split.run();
         let split_logs: Vec<_> = split.into_models().into_iter().map(|m| m.log).collect();
         assert_eq!(whole_logs, split_logs);
         assert!(mid_events > 0);
 
         // Events at or beyond the horizon stay queued.
         let mut parked = phold_engine(4, 400);
-        parked.run_until(SimTime::from_nanos(1), false);
+        parked.run_until(SimTime::from_nanos(1));
         let after: u64 = parked.events_per_shard().iter().sum();
         assert!(after < 401 * 4, "horizon did not stop the run");
     }
@@ -679,7 +613,7 @@ mod tests {
     #[test]
     fn barrier_inject_merges_canonically_after_a_drain() {
         let mut eng = phold_engine(2, 50);
-        eng.run(false);
+        eng.run();
         let before: u64 = eng.events_per_shard().iter().sum();
         let t = eng.last_event_time().expect("events ran");
         eng.barrier_inject(t, |_, ctx| {
@@ -692,7 +626,7 @@ mod tests {
                 shard as u64,
             );
         });
-        eng.run(false);
+        eng.run();
         let after: u64 = eng.events_per_shard().iter().sum();
         assert!(after >= before + 4, "injected events did not run");
     }
@@ -701,7 +635,7 @@ mod tests {
     #[should_panic(expected = "requires drained shard queues")]
     fn barrier_inject_refuses_inflight_traffic() {
         let mut eng = phold_engine(2, 50);
-        eng.run_until(SimTime::from_nanos(1), false);
+        eng.run_until(SimTime::from_nanos(1));
         eng.barrier_inject(SimTime::from_secs(10), |_, _| {});
     }
 
@@ -725,7 +659,7 @@ mod tests {
         let mut eng =
             ShardedEngine::new(vec![Canceller { fired: 0 }], SimDuration::from_nanos(1_000));
         eng.schedule(0, SimTime::ZERO, 0);
-        eng.run(false);
+        eng.run();
         let models = eng.into_models();
         assert_eq!(models[0].fired, 2, "cancelled timer fired");
     }
@@ -733,12 +667,12 @@ mod tests {
     #[test]
     fn profiled_run_is_bit_identical_and_accounts_windows() {
         let mut plain = phold_engine(4, 400);
-        let plain_report = plain.run(true);
+        let plain_report = plain.run();
         let plain_logs: Vec<_> = plain.into_models().into_iter().map(|m| m.log).collect();
 
         let mut profiled = phold_engine(4, 400);
         profiled.enable_profiler();
-        let profiled_report = profiled.run(true);
+        let profiled_report = profiled.run();
         let profile = profiled.take_profile().expect("profiling enabled");
         let profiled_logs: Vec<_> = profiled.into_models().into_iter().map(|m| m.log).collect();
 
@@ -746,7 +680,6 @@ mod tests {
         assert_eq!(plain_logs, profiled_logs);
         assert_eq!(profile.busy_secs.len(), 4);
         assert!(profile.busy_secs.iter().all(|&s| s >= 0.0));
-        assert!(profile.barrier_wait_secs.iter().all(|&s| s >= 0.0));
         assert!(profile.busy_skew().is_some());
     }
 
@@ -761,7 +694,7 @@ mod tests {
         eng.enable_profiler();
         eng.schedule(0, SimTime::from_secs(1), ());
         eng.schedule(1, SimTime::from_secs(3600), ());
-        eng.run(false);
+        eng.run();
         let profile = eng.take_profile().unwrap();
         assert_eq!(profile.fast_forward_windows, 2);
         assert!(profile.fast_forward_sim_secs > 3500.0);
